@@ -93,8 +93,8 @@ type Params struct {
 	Opt      Options
 	Workload workload.Profile
 
-	// Ctx, when set, cancels the run cooperatively: the cycle loop (and the
-	// executed producer stage) checks it and aborts with ctx.Err(), so
+	// Ctx, when set, cancels the run cooperatively: the hardware producer
+	// checks it every cycle and aborts with ctx.Err(), so
 	// pooled packet buffers drain through the same release paths a mismatch
 	// stop uses. cmd/difftest wires SIGINT/SIGTERM here.
 	Ctx context.Context
@@ -242,7 +242,6 @@ func Run(p Params) (*Result, error) {
 	prog := workload.Generate(p.Workload, p.DUT.Cores, p.Seed)
 	d := dut.New(p.DUT, prog.Image, prog.Entries, p.Hooks)
 	chk := checker.New(prog.Image, prog.Entries, p.DUT.Cores)
-	enabled := p.DUT.EnabledKinds()
 
 	dutHz := p.Platform.DUTOnlyHz(p.DUT.GatesM)
 	link := comm.NewLink(p.Platform, dutHz, opt.NonBlocking)
@@ -253,14 +252,11 @@ func Run(p Params) (*Result, error) {
 		Platform: p.Platform.Name,
 	}
 
-	r := &runner{p: p, opt: opt, d: d, chk: chk, link: link, res: res, enabled: enabled}
-	r.setup()
-	loop := r.loop
-	switch {
-	case p.RemoteAddr != "":
+	r := &runner{p: p, opt: opt, d: d, link: link, res: res}
+	r.setup(chk)
+	loop := r.drive
+	if p.RemoteAddr != "" {
 		loop = r.loopRemote
-	case opt.Executed:
-		loop = r.loopExecuted
 	}
 	if err := loop(); err != nil {
 		if p.RemoteAddr != "" && errors.Is(err, transport.ErrSessionLost) {
@@ -297,34 +293,29 @@ func degrade(p Params, failed *runner, cause error) (*Result, error) {
 }
 
 type runner struct {
-	p       Params
-	opt     Options
-	d       *dut.DUT
-	chk     *checker.Checker
-	link    *comm.Link
-	res     *Result
-	enabled [event.NumKinds]bool
+	p    Params
+	opt  Options
+	d    *dut.DUT
+	link *comm.Link
+	res  *Result
+	recv *receiver
 
 	fusers []*squash.Fuser
-	desq   *squash.Desquasher
 	rbuf   *replay.Buffer
 	rctls  []*replay.Controller
 
-	packer   *batch.Packer
-	unpacker *batch.Unpacker
-	fixed    *batch.FixedPacker
-	fixedRx  []byte
+	packer *batch.Packer
+	fixed  *batch.FixedPacker
 
 	// Remote-client accounting snapshotted by loopRemote even when the run
 	// fails, so a degraded rerun can report the failed link's history.
 	remoteReconnects uint64
 	remoteReplayed   uint64
 	remoteMigrations uint64
-
-	stop bool
 }
 
-func (r *runner) setup() {
+func (r *runner) setup(chk *checker.Checker) {
+	r.recv = newReceiver(r.opt, r.p.DUT, chk)
 	if r.opt.Squash {
 		scfg := squash.DefaultConfig()
 		scfg.CoupleOrder = r.opt.CoupleOrder
@@ -335,29 +326,25 @@ func (r *runner) setup() {
 			r.fusers = append(r.fusers, squash.NewFuser(scfg, uint8(i)))
 		}
 		r.rbuf = replay.NewBuffer(r.p.ReplayBufCap)
-		r.desq = squash.NewDesquasher(r.chk, r.enabled)
-		for _, cc := range r.chk.Cores {
+		for _, cc := range chk.Cores {
 			r.rctls = append(r.rctls, replay.NewController(cc, r.rbuf))
 		}
-		r.desq.OnWindow = func(core uint8, fc wire.FusedCommit) {
+		r.recv.desq.OnWindow = func(core uint8, fc wire.FusedCommit) {
 			r.rctls[core].Checkpoint(fc.StartToken)
 		}
 	}
-	if r.opt.Batch {
-		if r.opt.FixedOffset {
-			layout := batch.NewFixedLayout(r.p.DUT.EventKinds, maxInt(1, r.p.DUT.BurstMax))
-			r.fixed = batch.NewFixedPacker(layout, r.p.Platform.PacketBytes)
-		} else {
-			r.packer = batch.NewPacker(r.p.Platform.PacketBytes)
-			r.unpacker = &batch.Unpacker{}
-		}
+	switch {
+	case r.recv.layout != nil:
+		r.fixed = batch.NewFixedPacker(r.recv.layout, r.p.Platform.PacketBytes)
+	case r.opt.Batch:
+		r.packer = batch.NewPacker(r.p.Platform.PacketBytes)
 	}
 }
 
 // cancelled reports the run's cooperative-cancellation state (Params.Ctx):
-// nil while the run may continue, ctx.Err() once cancelled. Both the
-// sequential cycle loop and the executed producer stage poll it, so an
-// interrupt drains pooled packet buffers through the normal release paths.
+// nil while the run may continue, ctx.Err() once cancelled. The hardware
+// producer polls it every cycle, so an interrupt drains pooled packet
+// buffers through the normal release paths.
 func (r *runner) cancelled() error {
 	if r.p.Ctx == nil {
 		return nil
@@ -370,49 +357,42 @@ func (r *runner) cancelled() error {
 	}
 }
 
-func (r *runner) loop() error {
-	for cycle := uint64(0); cycle < r.p.MaxCycles && !r.stop; cycle++ {
-		if err := r.cancelled(); err != nil {
-			return err
-		}
-		recs, done := r.d.StepCycle()
-		r.link.AdvanceCycle()
-		if r.p.Trace != nil {
-			if err := r.p.Trace.WriteCycle(r.d.CycleCount, recs); err != nil {
-				return err
-			}
-		}
-
-		items, err := r.hardwareSide(recs)
-		if err != nil {
-			return err
-		}
-		if err := r.transport(items, false); err != nil {
-			return err
-		}
-		if done {
-			if err := r.flushAll(); err != nil {
-				return err
-			}
-			r.res.Finished = true
-			_, r.res.TrapCode = r.chk.Finished()
-			return nil
-		}
+// drive couples the hardware half to the in-process receiver — inline for
+// modeled runs, through the concurrent pipeline for executed ones — and
+// applies the verdict: Replay on a mismatch, the trap code once the DUT
+// reached its trap.
+func (r *runner) drive() error {
+	prod := &hwProducer{r: r}
+	defer prod.releasePending()
+	run := r.inline
+	if r.opt.Executed {
+		run = r.pipelined
 	}
-	if !r.stop {
-		return fmt.Errorf("cosim: %s did not finish within %d cycles: %w", r.p.DUT.Name, r.p.MaxCycles, ErrCycleLimit)
+	m, err := run(prod)
+	if err == nil && m == nil {
+		m, err = r.recv.finish()
+	}
+	if err != nil {
+		return err
+	}
+	if m != nil {
+		r.onMismatch(m)
+	}
+	if prod.finished {
+		r.res.Finished = true
+		_, r.res.TrapCode = r.recv.chk.Finished()
 	}
 	return nil
 }
 
 // hardwareSide applies the acceleration unit: Squash fusion or plain item
 // conversion, with replay buffering of the original unfused events.
-func (r *runner) hardwareSide(recs []event.Record) ([]wire.Item, error) {
+func (r *runner) hardwareSide(recs []event.Record) []wire.Item {
 	if len(recs) == 0 {
-		return nil, nil
+		return nil
 	}
 	if !r.opt.Squash {
-		return wire.FromRecords(recs), nil
+		return wire.FromRecords(recs)
 	}
 	startTok := r.rbuf.Add(recs)
 	// Split per core, preserving order and token alignment.
@@ -430,161 +410,11 @@ func (r *runner) hardwareSide(recs []event.Record) ([]wire.Item, error) {
 			items = append(items, r.fusers[core].Cycle(coreRecs, toks)...)
 		}
 	}
-	return items, nil
-}
-
-// transport moves items across the link per the configured mode and hands
-// them to the software side. Once a mismatch stops the run, nothing further
-// is transferred or checked: the co-simulation aborts at the first
-// divergence, like the lockstep path and the executed pipeline.
-func (r *runner) transport(items []wire.Item, flush bool) error {
-	if r.stop {
-		return nil
-	}
-	switch {
-	case r.opt.Batch && r.opt.FixedOffset:
-		pkts, err := r.fixed.AddCycle(items)
-		if err != nil {
-			releaseAll(pkts)
-			return err
-		}
-		if flush {
-			pkts = append(pkts, r.fixed.Flush()...)
-		}
-		for i, pkt := range pkts {
-			if r.stop {
-				// The run already diverged: the unsent packets still own
-				// pooled buffers and must go back.
-				releaseAll(pkts[i:])
-				return nil
-			}
-			r.link.Send(len(pkt.Buf), pkt.Events, pkt.Instrs)
-			if err := r.fixedReceive(pkt); err != nil {
-				releaseAll(pkts[i+1:])
-				return err
-			}
-		}
-	case r.opt.Batch:
-		pkts := r.packer.AddCycle(items)
-		if flush {
-			pkts = append(pkts, r.packer.Flush()...)
-		}
-		for i, pkt := range pkts {
-			if r.stop {
-				// The run already diverged: the unsent packets still own
-				// pooled buffers and must go back.
-				releaseAll(pkts[i:])
-				return nil
-			}
-			r.link.Send(len(pkt.Buf), pkt.Events, pkt.Instrs)
-			rx, err := r.unpacker.AddPacket(pkt.Buf)
-			// The unpacker copied every payload into its own arena, so the
-			// packet buffer can go back to the pool immediately.
-			pkt.Release()
-			if err != nil {
-				releaseAll(pkts[i+1:])
-				return err
-			}
-			if err := r.software(rx); err != nil {
-				releaseAll(pkts[i+1:])
-				return err
-			}
-		}
-		if flush && !r.stop {
-			if err := r.software(r.unpacker.Flush()); err != nil {
-				return err
-			}
-		}
-	default:
-		// Per-event transfers (one DPI-C call per event, paper §2.2).
-		for _, it := range items {
-			if r.stop {
-				return nil
-			}
-			r.link.Send(it.BaselineWireSize(), 1, it.InstrCount())
-			if err := r.software([]wire.Item{it}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// releaseAll returns every packet's pooled buffer. Used on early exits
-// (mismatch stop, decode error) where packed packets were never handed to
-// the software side.
-func releaseAll(pkts []batch.Packet) {
-	for i := range pkts {
-		pkts[i].Release()
-	}
-}
-
-func (r *runner) fixedReceive(pkt batch.Packet) error {
-	frames, err := r.fixedFrames(pkt)
-	if err != nil {
-		return err
-	}
-	for _, items := range frames {
-		if r.stop {
-			return nil
-		}
-		if err := r.software(items); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// fixedFrames appends one fixed-offset packet to the reassembly buffer and
-// returns the frames it completes.
-func (r *runner) fixedFrames(pkt batch.Packet) ([][]wire.Item, error) {
-	r.fixedRx = append(r.fixedRx, pkt.Buf[:pkt.Used]...)
-	pkt.Release() // reassembly copied the bytes; recycle the packet buffer
-	frameSize := r.fixed.Layout.FrameSize
-	n := len(r.fixedRx) / frameSize * frameSize
-	if n == 0 {
-		return nil, nil
-	}
-	frames, err := batch.UnpackFixedStream(r.fixed.Layout, r.fixedRx[:n])
-	if err != nil {
-		return nil, err
-	}
-	r.fixedRx = append(r.fixedRx[:0], r.fixedRx[n:]...)
-	return frames, nil
-}
-
-// checkItem runs one wire item through the software checking path — the
-// Squash reorderer or the direct per-event checker.
-func (r *runner) checkItem(it wire.Item) (*checker.Mismatch, error) {
-	if r.opt.Squash {
-		return r.desq.Process(it), nil
-	}
-	rec, err := wire.ToRecord(it)
-	if err != nil {
-		return nil, err
-	}
-	return r.chk.Process(rec), nil
-}
-
-// software runs the checker (directly or through the Squash reorderer) and
-// triggers Replay on mismatch.
-func (r *runner) software(items []wire.Item) error {
-	for _, it := range items {
-		m, err := r.checkItem(it)
-		if err != nil {
-			return err
-		}
-		if m != nil {
-			r.onMismatch(m)
-			return nil
-		}
-	}
-	return nil
+	return items
 }
 
 func (r *runner) onMismatch(m *checker.Mismatch) {
 	r.res.Mismatch = m
-	r.stop = true
 	if r.opt.Squash && !r.p.DisableReplay && int(m.Core) < len(r.rctls) {
 		// Replay round trip: notify hardware, retransmit the buffered
 		// range, reprocess at instruction granularity (paper Fig. 11).
@@ -592,25 +422,6 @@ func (r *runner) onMismatch(m *checker.Mismatch) {
 		r.link.Send(rep.ReplayedBytes+64, rep.Replayed, 0)
 		r.res.Replay = rep
 	}
-}
-
-func (r *runner) flushAll() error {
-	if r.opt.Squash {
-		for _, f := range r.fusers {
-			if err := r.transport(f.Flush(), false); err != nil {
-				return err
-			}
-		}
-	}
-	if err := r.transport(nil, true); err != nil {
-		return err
-	}
-	if r.opt.Squash && !r.stop {
-		if m := r.desq.Flush(); m != nil {
-			r.onMismatch(m)
-		}
-	}
-	return nil
 }
 
 func (r *runner) finish(dutHz float64) {
@@ -621,7 +432,7 @@ func (r *runner) finish(dutHz float64) {
 	if r.p.RemoteAddr == "" {
 		// In-process checking: snapshot the coverage signal directly. Remote
 		// runs already copied it from the closing verdict in loopRemote.
-		res.Coverage = r.chk.Coverage()
+		res.Coverage = r.recv.chk.Coverage()
 	}
 
 	for _, n := range d.EventCount {

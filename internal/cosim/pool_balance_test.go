@@ -30,9 +30,9 @@ func injectBit(n int) arch.Hooks {
 	}}
 }
 
-// TestTransportStopReleasesRemainingPackets drives transport() directly
-// into the leaked state: a multi-packet burst whose first packet's check
-// mismatches. Every packet after the stop was packed (owning a pooled
+// TestTransportStopReleasesRemainingPackets drives the inline driver
+// directly into the leaked state: a multi-packet burst whose first packet's
+// check mismatches. Every packet after the stop was packed (owning a pooled
 // buffer) but never sent; the stop path must release them all.
 //
 // The unpacker holds a cycle group until a newer cycle tag proves it
@@ -45,16 +45,18 @@ func injectBit(n int) arch.Hooks {
 func TestTransportStopReleasesRemainingPackets(t *testing.T) {
 	prog := workload.Generate(scaled(workload.LinuxBoot(), 1_000), 1, 1)
 	plat := platform.Palladium()
+	plat.PacketBytes = batch.MinPacketBytes
 	p := Params{DUT: dut.XiangShanDefault(), Platform: plat}
 	r := &runner{
 		p:    p,
 		opt:  Options{Batch: true},
-		chk:  checker.New(prog.Image, prog.Entries, 1),
 		link: comm.NewLink(plat, plat.DUTOnlyHz(p.DUT.GatesM), false),
 		res:  &Result{},
 	}
-	r.packer = batch.NewPacker(batch.MinPacketBytes)
-	r.unpacker = &batch.Unpacker{}
+	r.setup(checker.New(prog.Image, prog.Entries, 1))
+	// A producer past the trap with nothing left to flush hands over
+	// exactly the packets queued below.
+	prod := &hwProducer{r: r, finished: true, flushed: true}
 
 	bogus := func(n, base int) []event.Record {
 		var recs []event.Record
@@ -69,20 +71,26 @@ func TestTransportStopReleasesRemainingPackets(t *testing.T) {
 	gets0, puts0 := event.PoolStats()
 	// Cycle 1: three bogus commits — too small to close a packet, so they
 	// sit in the packer's open packet and no check runs yet.
-	if err := r.transport(wire.FromRecords(bogus(3, 0)), false); err != nil {
-		t.Fatalf("transport (priming cycle): %v", err)
+	var err error
+	if prod.pending, err = prod.pack(wire.FromRecords(bogus(3, 0)), false); err != nil {
+		t.Fatalf("pack (priming cycle): %v", err)
 	}
-	if r.stop {
-		t.Fatal("priming cycle emitted a packet and stopped the run early; test setup is wrong")
+	if len(prod.pending) != 0 {
+		t.Fatal("priming cycle emitted a packet; test setup is wrong")
 	}
 	// Cycle 2: enough commits to fill several minimum-size packets behind
 	// the mismatch.
-	if err := r.transport(wire.FromRecords(bogus(400, 3)), true); err != nil {
-		t.Fatalf("transport: %v", err)
+	if prod.pending, err = prod.pack(wire.FromRecords(bogus(400, 3)), true); err != nil {
+		t.Fatalf("pack: %v", err)
 	}
-	if !r.stop || r.res.Mismatch == nil {
+	m, err := r.inline(prod)
+	if err != nil {
+		t.Fatalf("inline: %v", err)
+	}
+	if m == nil {
 		t.Fatal("bogus commits did not stop the run; the abort path was never exercised")
 	}
+	prod.releasePending()
 	gets1, puts1 := event.PoolStats()
 	gets, puts := gets1-gets0, puts1-puts0
 	t.Logf("pool traffic across aborted burst: %d gets, %d puts", gets, puts)
@@ -90,7 +98,7 @@ func TestTransportStopReleasesRemainingPackets(t *testing.T) {
 		t.Fatalf("burst packed only %d packet(s); need >= 3 to exercise the stop path", gets)
 	}
 	if gets != puts {
-		t.Fatalf("transport leaked %d of %d packet buffer(s) on the mismatch stop path",
+		t.Fatalf("inline driver leaked %d of %d packet buffer(s) on the mismatch stop path",
 			int64(gets)-int64(puts), gets)
 	}
 }
@@ -100,7 +108,7 @@ func TestTransportStopReleasesRemainingPackets(t *testing.T) {
 // run stops at the first divergence, the packets that were packed but never
 // handed to the software side must still return their pooled buffers. The
 // pool's get/put counters must balance across the whole run — this fails if
-// any early-return path in transport() drops a packet without Release.
+// any early-return path of the drivers drops a packet without Release.
 func TestMismatchAbortReleasesPacketBuffers(t *testing.T) {
 	cases := []struct {
 		name string

@@ -4,32 +4,19 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/batch"
 	"repro/internal/checker"
 	"repro/internal/dut"
-	"repro/internal/squash"
 	"repro/internal/transport"
 	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
 // CheckerSession is the server-side software half of one networked DUT
-// session: meta-guided unpacking (or fixed-frame reassembly), the Squash
-// reorderer, and one REF+checker — everything runner's software side does,
-// minus the Replay round trip (the replay buffer lives in the client's
-// hardware, so remote mismatches report the diagnosis without replay).
-// It implements transport.SessionChecker; difftestd builds one per session.
-type CheckerSession struct {
-	opt     Options
-	chk     *checker.Checker
-	desq    *squash.Desquasher
-	unpack  *batch.Unpacker
-	layout  *batch.FixedLayout
-	fixedRx []byte
-
-	mismatch *checker.Mismatch
-	events   uint64
-}
+// session: the same receiver in-process runs use, minus the Replay round
+// trip (the replay buffer lives in the client's hardware, so remote
+// mismatches report the diagnosis without replay). It implements
+// transport.SessionChecker; difftestd builds one per session.
+type CheckerSession struct{ rv *receiver }
 
 // NewSession resolves a handshake into a fresh checker session. Both ends
 // derive the program image from the same (workload, cores, seed) triple, so
@@ -69,21 +56,7 @@ func NewSession(h transport.Hello) (transport.SessionChecker, error) {
 	}
 
 	prog := workload.Generate(wl, d.Cores, h.Seed)
-	s := &CheckerSession{
-		opt: opt,
-		chk: checker.New(prog.Image, prog.Entries, d.Cores),
-	}
-	if opt.Squash {
-		s.desq = squash.NewDesquasher(s.chk, d.EnabledKinds())
-	}
-	if opt.Batch {
-		if opt.FixedOffset {
-			s.layout = batch.NewFixedLayout(d.EventKinds, maxInt(1, d.BurstMax))
-		} else {
-			s.unpack = &batch.Unpacker{}
-		}
-	}
-	return s, nil
+	return &CheckerSession{rv: newReceiver(opt, d, checker.New(prog.Image, prog.Entries, d.Cores))}, nil
 }
 
 // dutByName resolves a handshake DUT name against the configured designs.
@@ -99,97 +72,20 @@ func dutByName(name string) (dut.Config, bool) {
 // Packet consumes one batch-packed packet from a pooled frame buffer. The
 // unpacker (or the fixed-frame reassembly) copies every payload it keeps, so
 // the caller releases buf immediately after return.
-func (s *CheckerSession) Packet(buf []byte) (*checker.Mismatch, error) {
-	if !s.opt.Batch {
-		return nil, fmt.Errorf("cosim: packet frame on a per-event (%s) session", s.opt.Name())
-	}
-	if s.opt.FixedOffset {
-		return s.fixedPacket(buf)
-	}
-	items, err := s.unpack.AddPacket(buf)
-	if err != nil {
-		return nil, err
-	}
-	return s.check(items)
-}
-
-// fixedPacket mirrors runner.fixedFrames: append to the reassembly buffer,
-// unpack every complete frame.
-func (s *CheckerSession) fixedPacket(buf []byte) (*checker.Mismatch, error) {
-	s.fixedRx = append(s.fixedRx, buf...)
-	frameSize := s.layout.FrameSize
-	n := len(s.fixedRx) / frameSize * frameSize
-	if n == 0 {
-		return nil, nil
-	}
-	frames, err := batch.UnpackFixedStream(s.layout, s.fixedRx[:n])
-	if err != nil {
-		return nil, err
-	}
-	s.fixedRx = append(s.fixedRx[:0], s.fixedRx[n:]...)
-	for _, items := range frames {
-		if m, err := s.check(items); m != nil || err != nil {
-			return m, err
-		}
-	}
-	return nil, nil
-}
+func (s *CheckerSession) Packet(buf []byte) (*checker.Mismatch, error) { return s.rv.packet(buf) }
 
 // Items consumes bare wire items (the per-event baseline config).
 func (s *CheckerSession) Items(items []wire.Item) (*checker.Mismatch, error) {
-	return s.check(items)
-}
-
-// check runs items through the Squash reorderer or the direct checker,
-// stopping at the first divergence like every other checking path.
-func (s *CheckerSession) check(items []wire.Item) (*checker.Mismatch, error) {
-	if s.mismatch != nil {
-		return nil, nil // stream already diverged; drain without checking
-	}
-	for _, it := range items {
-		s.events++
-		var m *checker.Mismatch
-		if s.opt.Squash {
-			m = s.desq.Process(it)
-		} else {
-			rec, err := wire.ToRecord(it)
-			if err != nil {
-				return nil, err
-			}
-			m = s.chk.Process(rec)
-		}
-		if m != nil {
-			s.mismatch = m
-			return m, nil
-		}
-	}
-	return nil, nil
+	return s.rv.check(items)
 }
 
 // Finish flushes the unpacker tail and the reorderer's held-back checks,
-// then reports the final verdict — runner.flushAll's software half.
-func (s *CheckerSession) Finish() (transport.Final, error) {
-	if s.opt.Batch && !s.opt.FixedOffset {
-		if m, err := s.check(s.unpack.Flush()); m != nil || err != nil {
-			return transport.Final{Mismatch: m}, err
-		}
-	}
-	if s.opt.Squash && s.mismatch == nil {
-		if m := s.desq.Flush(); m != nil {
-			s.mismatch = m
-			return transport.Final{Mismatch: m}, nil
-		}
-	}
-	if s.mismatch != nil {
-		return transport.Final{Mismatch: s.mismatch}, nil
-	}
-	_, code := s.chk.Finished()
-	return transport.Final{TrapCode: code}, nil
-}
+// then reports the final verdict.
+func (s *CheckerSession) Finish() (transport.Final, error) { return s.rv.verdict() }
 
 // Events reports how many wire items this session checked.
-func (s *CheckerSession) Events() uint64 { return s.events }
+func (s *CheckerSession) Events() uint64 { return s.rv.events }
 
 // CoverageSnapshot merges the per-core coverage counters — the server
 // attaches it to the closing verdict (transport.CoverageReporter).
-func (s *CheckerSession) CoverageSnapshot() *checker.Coverage { return s.chk.Coverage() }
+func (s *CheckerSession) CoverageSnapshot() *checker.Coverage { return s.rv.chk.Coverage() }
