@@ -540,7 +540,7 @@ func (r *Router) dropSession(s *rsession) {
 	s.releaseJournal()
 }
 
-// sessionDone marks a session's final verdict delivered: it stops counting
+// sessionDone marks a session's final verdict committed: it stops counting
 // against its tenant's quota and against its shard, but its record stays
 // parked so a client that lost the Done frame can resume and replay it.
 func (r *Router) sessionDone(s *rsession) {

@@ -186,6 +186,9 @@ func (r *Router) openSession(conn transport.FrameTransport, h transport.FrameHea
 		key:    key,
 		hello:  hello,
 		window: scaleWindow(b.welcome.Tokens, q.Share),
+		// Until runProxy attaches it, the new session counts as parked
+		// from now: a reap racing the Welcome must not drop it.
+		parkedAt: time.Now(),
 	}
 	s.shardAddr = addr
 	r.mu.Lock()
@@ -287,8 +290,8 @@ func (r *Router) resumeSession(conn transport.FrameTransport, h transport.FrameH
 		// The session already completed; replay the Done payload and park
 		// again so even a lost ResumeOK can be retried until reap.
 		ok := transport.ResumeOK{Have: jlen, Tokens: s.window, Final: final}
-		conn.WriteFrame(transport.FrameResumeOK, marshalFrame(&ok))
 		r.park(s, "completed, final verdict replayed")
+		conn.WriteFrame(transport.FrameResumeOK, marshalFrame(&ok))
 		return
 	}
 
@@ -710,6 +713,9 @@ func (p *proxy) pumpBackend() {
 				return
 			}
 			p.s.setFinal(&v, p.r)
+			// The verdict is committed: free the tenant slot before the
+			// client can see Done and open its next session.
+			p.r.sessionDone(p.s)
 			p.clientWrite(transport.FrameDone, marshalFrame(&v))
 			p.finishWith(outcomeFinal, nil)
 			return
@@ -775,7 +781,6 @@ func (p *proxy) finish() {
 
 	switch outcome {
 	case outcomeFinal:
-		r.sessionDone(s)
 		r.park(s, "completed")
 	case outcomeClientLost:
 		r.park(s, fmt.Sprintf("client connection lost: %v", cause))

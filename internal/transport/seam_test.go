@@ -23,6 +23,13 @@ func (f *fakeTransport) Close() error         { return nil }
 // scheme resolves through DialFrame and Listen, shows in SchemeNames, and
 // the built-ins and duplicates are rejected at registration.
 func TestSchemeRegistry(t *testing.T) {
+	// The registry is process-global: unregister the fake scheme so the
+	// test can run again under -count or a -cpu list.
+	t.Cleanup(func() {
+		schemeMu.Lock()
+		delete(schemes, "fake")
+		schemeMu.Unlock()
+	})
 	dialed, listened := "", ""
 	RegisterScheme("fake", Scheme{
 		Dial: func(addr string, timeout time.Duration) (FrameTransport, error) {

@@ -482,16 +482,19 @@ func (s *Server) resumeSession(conn FrameTransport, h FrameHeader, payload []byt
 		// Replay the early mismatch verdict the broken link may have lost.
 		ok.Verdict = &Verdict{Mismatch: NewMismatchReport(sn.verdict), Events: sn.verdictEvents}
 	}
+	if sn.final != nil {
+		// The session already completed; the ResumeOK carries the Done
+		// payload. Park it again first, so even a lost ResumeOK can be
+		// retried until the resume window closes.
+		s.park(sn, "completed, awaiting client ack of final verdict")
+		if err := conn.WriteFrame(FrameResumeOK, encodeJSON(&ok)); err != nil {
+			s.logf("session %d: resume-ok write: %v", sn.id, err)
+		}
+		return
+	}
 	if err := conn.WriteFrame(FrameResumeOK, encodeJSON(&ok)); err != nil {
 		s.logf("session %d: resume-ok write: %v", sn.id, err)
 		s.park(sn, "resume-ok write failed")
-		return
-	}
-	if sn.final != nil {
-		// The session already completed; the ResumeOK carried the Done
-		// payload. Park it again so even a lost ResumeOK can be retried
-		// until the resume window closes.
-		s.park(sn, "completed, awaiting client ack of final verdict")
 		return
 	}
 
@@ -590,15 +593,16 @@ func (s *Server) runSession(conn FrameTransport, sn *session) {
 			}
 			sn.final = &v
 			s.served.Add(1)
-			err := conn.WriteFrame(FrameDone, encodeJSON(&v))
-			if err != nil {
-				s.logf("session %d: done write: %v", id, err)
-			}
 			if s.resumable() {
 				// Even after a successful write the client may never see the
 				// Done frame (stalled link); keep the completed session
-				// resumable so the final verdict can be replayed.
+				// resumable so the final verdict can be replayed. Park before
+				// the write: a client that redials the moment Done is out
+				// must already find the session.
 				s.park(sn, "completed")
+			}
+			if err := conn.WriteFrame(FrameDone, encodeJSON(&v)); err != nil {
+				s.logf("session %d: done write: %v", id, err)
 			}
 			s.logf("session %d: done (finished=%v mismatch=%v, %d events)",
 				id, v.Finished, v.Mismatch != nil, v.Events)
