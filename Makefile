@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint fmt-check generate-check bench-codec fuzz-smoke bench-smoke bench-json fuzz-campaign integration cover ci
+.PHONY: build test race stress vet lint fmt-check generate-check bench-codec fuzz-smoke bench-smoke bench-json fuzz-campaign integration cover ci
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Repetition gate for ordering races in the networked stack: the transport,
+# fleet and cosim suites run STRESS_COUNT times at GOMAXPROCS 1, 2 and 4.
+# No -race on purpose: the race detector's slower scheduling hides the
+# publish-before-commit orderings this target exists to shake out.
+STRESS_COUNT ?= 3
+
+stress:
+	$(GO) test -count=$(STRESS_COUNT) -cpu=1,2,4 -timeout=60m ./internal/transport/... ./internal/fleet/... ./internal/cosim/...
 
 vet:
 	$(GO) vet ./...
@@ -116,4 +125,4 @@ integration:
 cover:
 	./scripts/coverfloor.sh
 
-ci: build test race vet lint fmt-check generate-check bench-codec fuzz-smoke bench-smoke bench-json fuzz-campaign cover integration
+ci: build test race stress vet lint fmt-check generate-check bench-codec fuzz-smoke bench-smoke bench-json fuzz-campaign cover integration
