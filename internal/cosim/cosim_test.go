@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/bugs"
 	"repro/internal/dut"
 	"repro/internal/platform"
 	"repro/internal/workload"
@@ -234,5 +235,29 @@ func TestVerilatorPlatform(t *testing.T) {
 	}
 	if res.SpeedHz < 1e3 || res.SpeedHz > 10e3 {
 		t.Errorf("16-thread Verilator on XiangShan = %.1f KHz, want ~4 KHz", res.SpeedHz/1e3)
+	}
+}
+
+// TestSquashDetectsCompensatingWritebacks is the regression test for
+// XOR-combined fused digests: on this seed the DUT's SC writes x3=0 where the
+// REF writes 1, and the next instruction (subw x21,x3,x1) writes 0 vs 1. The
+// two wrong writebacks land in one fusion window and cancelled out under
+// XOR, so EBINSD reported a clean run while the per-event baseline (Z)
+// reported the mismatch.
+func TestSquashDetectsCompensatingWritebacks(t *testing.T) {
+	b, ok := bugs.ByID("sc-false-success")
+	if !ok {
+		t.Fatal("bug missing from library")
+	}
+	for _, cfg := range []string{"Z", "EBINSD"} {
+		opt, _ := ParseConfig(cfg)
+		res := run(t, Params{
+			DUT: dut.XiangShanDefault(), Platform: platform.Palladium(), Opt: opt,
+			Workload: scaled(workload.LinuxBoot(), 120_000), Seed: 64,
+			Hooks: b.Hooks(0),
+		})
+		if res.Mismatch == nil {
+			t.Errorf("%s: sc-false-success escaped detection on seed 64", cfg)
+		}
 	}
 }

@@ -2,9 +2,15 @@ package event
 
 import "hash/fnv"
 
+// fusedDigestRule is the revision of the rule that folds commit PCs and
+// writebacks into a fused window's digests (internal/squash): 1 was XOR,
+// 2 is the order-sensitive multiply fold. Peers that fold differently would
+// report false mismatches, so the rule is part of FormatDigest.
+const fusedDigestRule = 2
+
 // FormatDigest returns a stable fingerprint of the wire format this binary
 // speaks: the number of event kinds and, per kind, its name and fixed wire
-// size. Two processes agree on the digest exactly when their generated
+// size, plus the fused-digest rule. Two processes agree on the digest exactly when their generated
 // codecs (codec_gen.go) describe the same layout, so the networked transport
 // exchanges it during the handshake — the runtime counterpart of the
 // `go generate` drift gate, catching a client and server built from
@@ -24,5 +30,6 @@ func FormatDigest() uint64 {
 		h.Write([]byte(in.Name))
 		put(uint64(in.Size))
 	}
+	put(fusedDigestRule)
 	return h.Sum64()
 }

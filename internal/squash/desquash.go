@@ -183,12 +183,15 @@ func (d *Desquasher) runFused(cd *coreDesq, fc wire.FusedCommit) *checker.Mismat
 			continue
 		}
 		ex := cd.cc.StepDigest(&d.Enabled, &cd.digestAcc)
-		pcDig ^= ex.PC
+		pcDig = foldDigest(pcDig, ex.PC)
+		// The monitor's commit wdata rule: zero unless an integer or FP
+		// register was written. The fold is order sensitive, so the zero
+		// must be folded in too.
+		wdata := uint64(0)
 		if ex.WroteInt || ex.WroteFp {
-			// Mirror the monitor's commit wdata rule (zero unless an
-			// integer or FP register was written).
-			wDig ^= ex.Wdata
+			wdata = ex.Wdata
 		}
+		wDig = foldDigest(wDig, wdata)
 		lastPC = ex.PC
 		steps++
 	}
@@ -211,7 +214,7 @@ func (d *Desquasher) runFused(cd *coreDesq, fc wire.FusedCommit) *checker.Mismat
 	}
 	if pcDig != fc.PCDigest || lastPC != fc.LastPC {
 		return cd.cc.FailFused(fc.LastSeq,
-			fmt.Sprintf("fused PC check: DUT (last %#x, xor %#x) REF (last %#x, xor %#x)",
+			fmt.Sprintf("fused PC check: DUT (last %#x, digest %#x) REF (last %#x, digest %#x)",
 				fc.LastPC, fc.PCDigest, lastPC, pcDig))
 	}
 	if wDig != fc.WDigest {
@@ -239,3 +242,10 @@ func (d *Desquasher) Flush() *checker.Mismatch {
 	}
 	return nil
 }
+
+// foldDigest folds one commit's value into a fusion window's PC or
+// writeback digest (FusedCommit.PCDigest/WDigest). The fold is order
+// sensitive: unlike XOR, two wrong values in one window cannot cancel out.
+// The rule is part of the wire format; event.FormatDigest carries its
+// revision, so peers that disagree on it refuse to connect.
+func foldDigest(d, v uint64) uint64 { return (d ^ v) * 0x100000001b3 }

@@ -155,8 +155,8 @@ func (f *Fuser) Cycle(recs []event.Record, tokens []uint64) []wire.Item {
 			f.fc.Count++
 			f.fc.LastSeq = rec.Seq
 			f.fc.LastPC = ic.PC
-			f.fc.PCDigest ^= ic.PC
-			f.fc.WDigest ^= ic.Wdata
+			f.fc.PCDigest = foldDigest(f.fc.PCDigest, ic.PC)
+			f.fc.WDigest = foldDigest(f.fc.WDigest, ic.Wdata)
 			if f.fc.Count >= uint64(f.Cfg.MaxFuse) {
 				wantFlush = true
 			}

@@ -51,12 +51,17 @@ func TestFusionWindowAccumulates(t *testing.T) {
 	if fc.Count != 4 || fc.LastSeq != 4 || fc.LastPC != 0x1000+4*4 {
 		t.Errorf("fused summary = %+v", fc)
 	}
-	wantDig := uint64(0x1004 ^ 0x1008 ^ 0x100C ^ 0x1010)
-	if fc.PCDigest != wantDig {
-		t.Errorf("pc digest = %#x, want %#x", fc.PCDigest, wantDig)
+	// Digests fold each commit in order: d = (d ^ v) * FNV prime.
+	fold := func(d, v uint64) uint64 { return (d ^ v) * 0x100000001b3 }
+	var wantPC, wantW uint64
+	for seq := uint64(1); seq <= 4; seq++ {
+		wantPC, wantW = fold(wantPC, 0x1000+seq*4), fold(wantW, seq)
 	}
-	if fc.WDigest != 1^2^3^4 {
-		t.Errorf("wdata digest = %#x", fc.WDigest)
+	if fc.PCDigest != wantPC {
+		t.Errorf("pc digest = %#x, want %#x", fc.PCDigest, wantPC)
+	}
+	if fc.WDigest != wantW {
+		t.Errorf("wdata digest = %#x, want %#x", fc.WDigest, wantW)
 	}
 	if f.Stats.FusionRatio() != 4 {
 		t.Errorf("fusion ratio = %v", f.Stats.FusionRatio())
@@ -192,5 +197,20 @@ func TestStartTokenTracksWindow(t *testing.T) {
 				t.Errorf("second window start token = %d, want 90", fc.StartToken)
 			}
 		}
+	}
+}
+
+// TestFusedDigestCatchesCompensatingErrors: two wrong writebacks that differ
+// from the right ones by the same bits cancel under XOR; the order-sensitive
+// fold must still tell the windows apart.
+func TestFusedDigestCatchesCompensatingErrors(t *testing.T) {
+	const delta = 1
+	good := foldDigest(foldDigest(0, 1), 1)
+	bad := foldDigest(foldDigest(0, 1^delta), 1^delta)
+	if (1 ^ 1) != ((1 ^ delta) ^ (1 ^ delta)) {
+		t.Fatal("test values do not cancel under XOR")
+	}
+	if good == bad {
+		t.Fatalf("digest %#x does not separate compensating errors", good)
 	}
 }

@@ -132,15 +132,15 @@ func DecodeNDE(it Item) (seq uint64, ev event.Event, err error) {
 
 // FusedCommit summarizes a fused run of instruction commits (paper §4.3):
 // the sequence number and PC of the final fused instruction, the fused
-// count, and an XOR digest of the committed PCs as the collective check
-// value. The checker steps the reference model to LastSeq, applying
+// count, and order-sensitive digests of the committed PCs and writebacks as
+// the collective check values. The checker steps the reference model to LastSeq, applying
 // order-tagged NDEs at their exact positions along the way.
 type FusedCommit struct {
 	LastSeq  uint64 // sequence number of the final fused instruction
 	Count    uint64 // number of fused (non-skipped) commits
 	LastPC   uint64 // PC of the final fused instruction
-	PCDigest uint64 // XOR of all fused commit PCs
-	WDigest  uint64 // XOR of all fused commit writeback values
+	PCDigest uint64 // fold of all fused commit PCs, in commit order
+	WDigest  uint64 // fold of all fused commit writeback values, in order
 
 	// StartToken is the replay-buffer token of the first event buffered for
 	// this fusion window — Replay's range-determination handle (paper §4.4).
