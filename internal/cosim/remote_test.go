@@ -239,3 +239,49 @@ func TestRemoteCancellation(t *testing.T) {
 			gets1-gets0, puts1-puts0)
 	}
 }
+
+// TestFixedOffsetVerdictAcrossModes: EB with fixed-offset packing drives the
+// receiver's frame reassembly in every place a run can check — modeled,
+// executed, and a difftestd session over a Unix socket — and must reach the
+// same verdict in each, clean and with an injected bug.
+func TestFixedOffsetVerdictAcrossModes(t *testing.T) {
+	_, spec := startLoopbackServer(t, transport.ServerConfig{})
+	b, ok := bugs.ByID("store-byte-drop")
+	if !ok {
+		t.Fatal(errBugMissing)
+	}
+	for _, bug := range []*bugs.Bug{nil, b} {
+		mk := func(executed bool, remote string) *Result {
+			p := executedParams("EB", executed)
+			p.Opt.FixedOffset = true
+			p.RemoteAddr = remote
+			p.Workload = scaled(workload.LinuxBoot(), 40_000)
+			p.Seed = 3
+			if bug != nil {
+				p.Hooks = bug.Hooks(0)
+			}
+			return run(t, p)
+		}
+		modeled := mk(false, "")
+		if (bug != nil) != (modeled.Mismatch != nil) {
+			t.Fatalf("modeled EB-fixed (bug=%v): mismatch %v", bug != nil, modeled.Mismatch)
+		}
+		for mode, got := range map[string]*Result{"executed": mk(true, ""), "remote": mk(true, spec)} {
+			if got.Degraded {
+				t.Errorf("%s: session degraded to in-process checking", mode)
+			}
+			want, m := modeled.Mismatch, got.Mismatch
+			switch {
+			case (want == nil) != (m == nil):
+				t.Errorf("%s (bug=%v): mismatch %v, modeled %v", mode, bug != nil, m, want)
+			case want != nil && (m.Core != want.Core || m.Kind != want.Kind || m.Seq != want.Seq || m.PC != want.PC):
+				t.Errorf("%s: mismatch identity differs:\n modeled: %v\n %s: %v", mode, want, mode, m)
+			case want == nil && (!got.Finished || got.TrapCode != modeled.TrapCode ||
+				got.Cycles != modeled.Cycles || got.Instrs != modeled.Instrs):
+				t.Errorf("%s clean run: finished=%v trap=%d %d cycles %d instrs, modeled trap=%d %d cycles %d instrs",
+					mode, got.Finished, got.TrapCode, got.Cycles, got.Instrs,
+					modeled.TrapCode, modeled.Cycles, modeled.Instrs)
+			}
+		}
+	}
+}
