@@ -7,7 +7,9 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
+	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/event"
@@ -38,6 +40,10 @@ type Conn struct {
 	readSeq   uint64
 	readArmed bool // a read deadline is set and must be cleared if ReadTimeout drops to 0
 
+	// interrupted makes SetDeadlineNow sticky: the per-frame deadline arming
+	// below would otherwise replace the expired deadline with a fresh one.
+	interrupted atomic.Bool
+
 	// ReadTimeout bounds one blocking ReadFrame (0 = no deadline); the
 	// server uses it as the idle-session reaping horizon. WriteTimeout
 	// bounds one WriteFrame flush.
@@ -60,9 +66,13 @@ func NewConn(c net.Conn) *Conn {
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.c.Close() }
 
-// SetDeadlineNow interrupts any blocked read or write; used by the server's
-// forced-drain path.
-func (c *Conn) SetDeadlineNow() { c.c.SetDeadline(time.Now()) }
+// SetDeadlineNow interrupts any blocked read or write, and every later one:
+// the server's forced-drain path must end its sessions, not just the frame
+// they are waiting on.
+func (c *Conn) SetDeadlineNow() {
+	c.interrupted.Store(true)
+	c.c.SetDeadline(time.Now())
+}
 
 // SetReadTimeout bounds one blocking ReadFrame (0 = no deadline).
 func (c *Conn) SetReadTimeout(d time.Duration) { c.ReadTimeout = d }
@@ -110,6 +120,11 @@ func (c *Conn) WriteFrame(typ uint8, payload []byte) error {
 			return frameErr("write", typ, c.writeSeq, err)
 		}
 		c.writeArmed = false
+	}
+	// Checked after arming: either this sees the interrupt, or the
+	// interrupt's deadline lands after the one armed above.
+	if c.interrupted.Load() {
+		return frameErr("write", typ, c.writeSeq, os.ErrDeadlineExceeded)
 	}
 	h := FrameHeader{Magic: FrameMagic, Type: typ, Length: uint32(len(payload)), Seq: c.writeSeq}
 	c.scratch = h.AppendTo(c.scratch[:0])
@@ -161,6 +176,9 @@ func (c *Conn) ReadFrame() (FrameHeader, []byte, error) {
 			return h, nil, frameErr("read", 0, c.readSeq, err)
 		}
 		c.readArmed = false
+	}
+	if c.interrupted.Load() {
+		return h, nil, frameErr("read", 0, c.readSeq, os.ErrDeadlineExceeded)
 	}
 	var hdr [FrameHeaderSize]byte
 	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {

@@ -175,6 +175,26 @@ func TestSetDeadlineNow(t *testing.T) {
 	c.Close()
 }
 
+// TestSetDeadlineNowOutlastsFrameTimeouts: a connection with per-frame
+// timeouts re-arms its deadlines on every frame, and the forced-drain
+// interrupt must survive that. A frame is waiting to be read, so a re-armed
+// deadline would let the read succeed.
+func TestSetDeadlineNowOutlastsFrameTimeouts(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	go NewConn(b).WriteFrame(FrameEnd, nil)
+	c := NewConn(a)
+	c.ReadTimeout, c.WriteTimeout = time.Minute, time.Minute
+	c.SetDeadlineNow()
+	if _, _, err := c.ReadFrame(); !isTimeout(err) {
+		t.Fatalf("read after SetDeadlineNow: err = %v, want a timeout", err)
+	}
+	if err := c.WriteFrame(FrameEnd, nil); !isTimeout(err) {
+		t.Fatalf("write after SetDeadlineNow: err = %v, want a timeout", err)
+	}
+}
+
 // TestParkedSessionReapedAfterWindow pins the reap-vs-resume policy: a
 // parked session is resumable only within ResumeWindow; afterwards the next
 // park/resume sweep reaps it and a Resume presenting its valid token is
