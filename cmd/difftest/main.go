@@ -12,6 +12,12 @@
 //	difftest -transport shm -remote /dev/shm/difftest  # same, platform-sized rings
 //	difftest -executed -shm                            # comparison incl. in-process shm row
 //	difftest -list                                     # show available options
+//	difftest paper breakdown -workers 4                # a paper table or figure
+//
+// `difftest paper <name>` regenerates the paper's tables and figures:
+// breakdown (Table 5 + pipeline occupancy), overhead (Figure 2), perf
+// (Figure 13, -prior Table 7, -platforms Table 2), events (Table 1, Figure 4,
+// Table 4), bughunt (Figure 14, Table 6) and resource (Figure 15).
 //
 // SIGINT/SIGTERM cancel the run cooperatively: the co-simulation loop drains
 // its in-flight pooled buffers through the normal release paths before the
@@ -39,6 +45,10 @@ import (
 )
 
 func main() {
+	if len(os.Args) > 1 && os.Args[1] == "paper" {
+		paperMain(os.Args[2:])
+		return
+	}
 	var (
 		dutName  = flag.String("dut", "xiangshan", "DUT: nutshell, xiangshan-minimal, xiangshan, xiangshan-dual")
 		platName = flag.String("platform", "palladium", "platform: palladium, fpga, verilator")
@@ -348,7 +358,7 @@ func printComparison(cmp *cosim.ModeComparison) {
 // AIMD controller found, with the winning knobs. Round 0 is always a
 // candidate for best, so Gain never drops below 1.00x. With decisions set,
 // every controller step is listed underneath — the same trajectory
-// cmd/breakdown surfaces in its occupancy report.
+// `difftest paper breakdown` surfaces in its occupancy report.
 func printAutotune(reps []*cosim.AutoTuneReport, decisions bool) {
 	fmt.Println("Auto-tuned pipeline settings (fixed constants vs AIMD controller):")
 	header := []string{"Config", "Fixed instrs/s", "Tuned instrs/s", "Gain",

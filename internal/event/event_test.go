@@ -142,7 +142,7 @@ func TestEqualDiscriminates(t *testing.T) {
 func TestTotalSizeReasonable(t *testing.T) {
 	// One instance of each kind sums to ~3 KiB; the paper's 11.5 KB figure
 	// counts multiple hardware instances per kind (8 commit slots etc.),
-	// which cmd/events reports per DUT configuration.
+	// which `difftest paper events` reports per DUT configuration.
 	if ts := TotalSize(); ts < 2500 || ts > 4000 {
 		t.Errorf("TotalSize = %d, want ~3112", ts)
 	}
