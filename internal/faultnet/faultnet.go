@@ -29,6 +29,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/event"
@@ -230,11 +231,14 @@ type Conn struct {
 	plan Plan
 	j    *Journal
 
-	wmu      sync.Mutex
-	wrng     *rand.Rand
-	writes   int
-	stalled  bool
-	resetErr error
+	wmu     sync.Mutex
+	wrng    *rand.Rand
+	writes  int
+	stalled bool
+	// reset is set once a Reset fault fires. Reads check it too: bytes the
+	// peer sent in answer to the delivered prefix must not slip in before
+	// the close lands.
+	reset atomic.Bool
 
 	rmu   sync.Mutex
 	rrng  *rand.Rand
@@ -324,8 +328,8 @@ func (c *Conn) sleep() time.Duration {
 func (c *Conn) Write(p []byte) (int, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if c.resetErr != nil {
-		return 0, c.resetErr
+	if c.reset.Load() {
+		return 0, ErrInjectedReset
 	}
 	index := c.writes
 	c.writes++
@@ -379,9 +383,9 @@ func (c *Conn) Write(p []byte) (int, error) {
 
 	case Reset:
 		k := clamp(op.Offset, 0, len(p))
+		c.reset.Store(true)
 		n, _ := c.nc.Write(p[:k])
 		c.nc.Close()
-		c.resetErr = ErrInjectedReset
 		c.j.record(Event{Dir: "write", Index: index, Kind: Reset,
 			Detail: fmt.Sprintf("%d of %d bytes delivered, connection closed", n, len(p))})
 		return n, ErrInjectedReset
@@ -410,9 +414,18 @@ func (c *Conn) Read(p []byte) (int, error) {
 		n, err := c.nc.Read(p[:sliver])
 		c.j.record(Event{Dir: "read", Index: index, Kind: ShortRead,
 			Detail: fmt.Sprintf("%d of up to %d bytes delivered", n, len(p))})
-		return n, err
+		return c.afterRead(n, err)
 	}
-	return c.nc.Read(p)
+	return c.afterRead(c.nc.Read(p))
+}
+
+// afterRead drops what a read returned once a Reset has fired: the
+// connection is closed, whatever the kernel still handed over.
+func (c *Conn) afterRead(n int, err error) (int, error) {
+	if c.reset.Load() {
+		return 0, ErrInjectedReset
+	}
+	return n, err
 }
 
 // Close closes the wrapped connection.
